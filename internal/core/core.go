@@ -179,13 +179,23 @@ func sealedLimit(n int) int {
 // deterministic keystream of the tag, so corrupted payloads that escape
 // the protocol are detectable at the application (Fail_data).
 func payloadBody(tag uint64, p []byte) {
-	x := tag*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
+	x := keystreamSeed(tag)
 	for i := 8; i < sealedLimit(len(p)); i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
+		x = keystreamNext(x)
 		p[i] = byte(x)
 	}
+}
+
+// keystreamSeed and keystreamNext define payloadBody's xorshift
+// keystream: byte i of the body is the low byte of the state after i-7
+// steps from the seed.
+func keystreamSeed(tag uint64) uint64 { return tag*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D }
+
+func keystreamNext(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
 }
 
 // SealedPayload returns a full flit payload carrying tag plus an integrity
@@ -198,13 +208,14 @@ func SealedPayload(tag uint64) []byte {
 }
 
 // PayloadIntact reports whether a delivered payload matches its tag's
-// keystream (ignoring the routing tag bytes at the payload tail).
+// keystream (ignoring the routing tag bytes at the payload tail). It
+// generates the keystream as it compares, so a delivery costs no
+// allocation.
 func PayloadIntact(p []byte) bool {
-	tag := trace.TagOf(p)
-	want := make([]byte, len(p))
-	payloadBody(tag, want)
+	x := keystreamSeed(trace.TagOf(p))
 	for i := 8; i < sealedLimit(len(p)); i++ {
-		if p[i] != want[i] {
+		x = keystreamNext(x)
+		if p[i] != byte(x) {
 			return false
 		}
 	}

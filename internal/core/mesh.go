@@ -42,7 +42,7 @@ func newMeshFabric(cfg Config, w, h int, wrap bool) (*MeshFabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if w < 1 || h < 1 || w*h > 256 {
+	if !switchfab.MeshSizeOK(w, h) {
 		return nil, fmt.Errorf("core: mesh %dx%d out of range (need 1..256 nodes)", w, h)
 	}
 	mode := switchfab.ModeCXL

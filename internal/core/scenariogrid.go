@@ -19,6 +19,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/switchfab"
 	"repro/internal/workload"
 )
 
@@ -54,7 +55,7 @@ func (t Topology) Normalized() (Topology, error) {
 	if t.Kind != TopoMesh && t.Kind != TopoTorus {
 		return t, fmt.Errorf("core: unknown topology kind %q", t.Kind)
 	}
-	if t.W < 1 || t.H < 1 || t.W*t.H > 256 {
+	if !switchfab.MeshSizeOK(t.W, t.H) {
 		return t, fmt.Errorf("core: topology %dx%d out of range (need 1..256 nodes)", t.W, t.H)
 	}
 	return t, nil

@@ -235,6 +235,7 @@ func TestScenarioGridEnumeration(t *testing.T) {
 		{N: 5, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                                        // no topology
 		{N: 5, Topologies: []Topology{{W: 2, H: 2}}},                                                                            // no workload
 		{N: 5, Topologies: []Topology{{Kind: "ring", W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},    // bad topo
+		{N: 5, Topologies: []Topology{{W: 1 << 32, H: 1 << 32}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},      // size wraps to 0
 		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: "tornado"}}},                             // bad workload
 		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}, Faults: []FaultScript{{Kind: "quake"}}}, // bad fault
 	}

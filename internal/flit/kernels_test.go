@@ -10,10 +10,11 @@ import (
 // TestSealReference pins the bytes a sealed flit carries against the
 // portable reference kernels, independent of what Update/Verify dispatch
 // to on this host: the CRC field must equal a slicing-by-16 checksum (with
-// the ISN fold applied by hand for RXL seals), and the sealed image must
-// be a valid FEC codeword under the byte-level reference syndrome loop.
-// If the CLMUL or word-parallel paths ever drifted, sealed wire bytes
-// would change and this test would catch it at the flit layer.
+// the ISN fold applied by hand for RXL seals), the FEC field must equal
+// the byte-level reference encoder's parity, and the sealed image must be
+// a valid FEC codeword under the byte-level reference syndrome loop. If
+// the CLMUL, word-parallel or packed-encoder paths ever drifted, sealed
+// wire bytes would change and this test would catch it at the flit layer.
 func TestSealReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	fec := NewFEC()
@@ -30,6 +31,11 @@ func TestSealReference(t *testing.T) {
 		if !fec.VerifyReference(f.protected(), f.FECField()) {
 			t.Fatalf("trial %d: CXL seal is not a codeword under reference verify", trial)
 		}
+		wantFEC := make([]byte, FECSize)
+		fec.EncodeReference(f.protected(), wantFEC)
+		if string(f.FECField()) != string(wantFEC) {
+			t.Fatalf("trial %d: CXL FEC field %x != reference %x", trial, f.FECField(), wantFEC)
+		}
 
 		f.SealRXL(seq, fec)
 		folded := append([]byte(nil), f.crcInput()...)
@@ -40,6 +46,10 @@ func TestSealReference(t *testing.T) {
 		}
 		if !fec.VerifyReference(f.protected(), f.FECField()) {
 			t.Fatalf("trial %d: RXL seal is not a codeword under reference verify", trial)
+		}
+		fec.EncodeReference(f.protected(), wantFEC)
+		if string(f.FECField()) != string(wantFEC) {
+			t.Fatalf("trial %d: RXL FEC field %x != reference %x", trial, f.FECField(), wantFEC)
 		}
 
 		// A deferred seal, once materialized, must be byte-identical.

@@ -20,14 +20,24 @@ type Interleaved struct {
 	ways    int
 	nparity int // parity symbols per way
 	codes   []*Code
-	// parityWay[x] and parityIdx[x] map wire parity slot x to (way, symbol).
-	parityWay []int
-	parityIdx []int
+	// vec is the codes' shared packed kernel bank, set only for the CXL
+	// flit geometry (3 ways, 2 parity symbols each) outside purego builds;
+	// nil selects the deinterleaving reference paths.
+	vec *synTab
 	// scratch buffers reused across calls; an Interleaved is NOT safe for
 	// concurrent use. Clone per goroutine.
 	deint  [][]byte
 	parity [][]byte
 	synd   []byte
+	st     []uint64 // per-way encoder registers or syndrome words
+	fix    []fixup  // per-way corrections held back by Decode
+}
+
+// fixup is one way's single-symbol correction, held back until every way
+// has decoded so an uncorrectable flit is never partially mutated.
+type fixup struct {
+	p   int  // codeword position to XOR mag into
+	mag byte // 0: no correction
 }
 
 // NewInterleaved builds a ways-way interleaved bank protecting total data
@@ -50,21 +60,11 @@ func NewInterleaved(total, ways, nparity int) (*Interleaved, error) {
 			return nil, err
 		}
 		il.codes = append(il.codes, c)
-		il.deint = append(il.deint, make([]byte, k))
-		il.parity = append(il.parity, make([]byte, nparity))
 	}
-	il.synd = make([]byte, nparity)
-	// Continue the data region's round-robin through the parity field so a
-	// burst crossing the boundary still spreads across sub-blocks. Any run
-	// of ways*nparity consecutive positions hits each residue class
-	// exactly nparity times, so every way receives its full parity.
-	seen := make([]int, ways)
-	for x := 0; x < ways*nparity; x++ {
-		w := (total + x) % ways
-		il.parityWay = append(il.parityWay, w)
-		il.parityIdx = append(il.parityIdx, seen[w])
-		seen[w]++
+	if packedKernels && ways == 3 && nparity == 2 {
+		il.vec = il.codes[0].vec
 	}
+	il.allocScratch()
 	return il, nil
 }
 
@@ -80,16 +80,19 @@ func MustNewInterleaved(total, ways, nparity int) *Interleaved {
 // Clone returns an independent Interleaved with its own scratch buffers,
 // sharing the immutable code definitions.
 func (il *Interleaved) Clone() *Interleaved {
-	c := &Interleaved{
-		total: il.total, ways: il.ways, nparity: il.nparity, codes: il.codes,
-		parityWay: il.parityWay, parityIdx: il.parityIdx,
-	}
-	for w := 0; w < il.ways; w++ {
-		c.deint = append(c.deint, make([]byte, il.codes[w].DataLen()))
-		c.parity = append(c.parity, make([]byte, il.nparity))
-	}
-	c.synd = make([]byte, il.nparity)
+	c := &Interleaved{total: il.total, ways: il.ways, nparity: il.nparity, codes: il.codes, vec: il.vec}
+	c.allocScratch()
 	return c
+}
+
+func (il *Interleaved) allocScratch() {
+	for _, c := range il.codes {
+		il.deint = append(il.deint, make([]byte, c.DataLen()))
+		il.parity = append(il.parity, make([]byte, il.nparity))
+	}
+	il.synd = make([]byte, il.nparity)
+	il.st = make([]uint64, il.ways)
+	il.fix = make([]fixup, il.ways)
 }
 
 // DataLen returns the number of protected data bytes.
@@ -111,51 +114,138 @@ func (il *Interleaved) SubBlockLens() []int {
 	return out
 }
 
-func (il *Interleaved) deinterleave(data []byte) {
-	for w := range il.deint {
-		for i := range il.deint[w] {
-			il.deint[w][i] = data[i*il.ways+w]
-		}
+// parityStart returns the first wire parity slot of way w. The parity
+// field continues the data round-robin, so way w owns the slots x with
+// (total+x) mod ways == w: parityStart(w), +ways, +2·ways, …. Any run of
+// ways·nparity consecutive positions hits each residue class exactly
+// nparity times, so every way receives its full parity, and a burst
+// crossing the data/parity boundary still spreads across sub-blocks.
+func (il *Interleaved) parityStart(w int) int {
+	return (w + il.ways - il.total%il.ways) % il.ways
+}
+
+// gather copies way w's data and parity symbols out of the wire layout
+// into the deinterleaved scratch codeword.
+func (il *Interleaved) gather(w int, data, parity []byte) {
+	d, p, off := il.deint[w], il.parity[w], il.parityStart(w)
+	for i := range d {
+		d[i] = data[i*il.ways+w]
+	}
+	for j := range p {
+		p[j] = parity[off+j*il.ways]
 	}
 }
 
-func (il *Interleaved) reinterleave(data []byte) {
-	for w := range il.deint {
-		for i := range il.deint[w] {
-			data[i*il.ways+w] = il.deint[w][i]
-		}
+// scatter writes way w's scratch codeword back into the wire layout.
+func (il *Interleaved) scatter(w int, data, parity []byte) {
+	d, p, off := il.deint[w], il.parity[w], il.parityStart(w)
+	for i := range d {
+		data[i*il.ways+w] = d[i]
+	}
+	for j := range p {
+		parity[off+j*il.ways] = p[j]
+	}
+}
+
+func (il *Interleaved) checkLens(op string, data, parity []byte) {
+	if len(data) != il.total {
+		panic(fmt.Sprintf("rs: interleaved %s data length %d, want %d", op, len(data), il.total))
+	}
+	if len(parity) != il.ParityLen() {
+		panic(fmt.Sprintf("rs: interleaved %s parity length %d, want %d", op, len(parity), il.ParityLen()))
 	}
 }
 
 // Encode computes the interleaved parity for data (length DataLen) into
 // parity (length ParityLen). The parity wire layout continues the data
 // round-robin: parity slot x carries the next symbol of way (total+x)%ways.
+//
+// The packed path reads the three ways straight off the wire layout and
+// runs their registers in one pass.
 func (il *Interleaved) Encode(data, parity []byte) {
-	if len(data) != il.total {
-		panic(fmt.Sprintf("rs: interleaved Encode data length %d, want %d", len(data), il.total))
+	il.checkLens("Encode", data, parity)
+	if il.vec == nil {
+		il.encodeRef(data, parity)
+		return
 	}
-	if len(parity) != il.ParityLen() {
-		panic(fmt.Sprintf("rs: interleaved Encode parity length %d, want %d", len(parity), il.ParityLen()))
+	il.st[0], il.st[1], il.st[2] = il.vec.encode3(data)
+	for w, st := range il.st {
+		off := il.parityStart(w)
+		for j := 0; j < il.nparity; j++ {
+			parity[off+j*il.ways] = byte(st >> (56 - 8*uint(j)))
+		}
 	}
-	il.deinterleave(data)
+}
+
+// EncodeReference is Encode on the deinterleaved byte-level LFSR loop of
+// every way (Code.Encode), regardless of build tags — the pinned baseline for the
+// differential suites and kernel benchmarks. Simulation code should call
+// Encode.
+func (il *Interleaved) EncodeReference(data, parity []byte) {
+	il.checkLens("Encode", data, parity)
+	il.encodeRef(data, parity)
+}
+
+func (il *Interleaved) encodeRef(data, parity []byte) {
 	for w, c := range il.codes {
+		il.gather(w, data, parity)
 		c.Encode(il.deint[w], il.parity[w])
-	}
-	for x := range parity {
-		parity[x] = il.parity[il.parityWay[x]][il.parityIdx[x]]
+		il.scatter(w, data, parity)
 	}
 }
 
 // Decode checks and corrects data and parity in place. The whole flit is
-// uncorrectable as soon as any single way is uncorrectable; corrected counts
-// accumulate across ways.
+// uncorrectable as soon as any single way is uncorrectable, in which case
+// data and parity are left untouched; corrected counts accumulate across
+// ways.
+//
+// The packed path computes each way's syndromes on the wire layout and
+// applies the single-symbol corrections there directly, after every way
+// has passed.
 func (il *Interleaved) Decode(data, parity []byte) Result {
-	if len(data) != il.total || len(parity) != il.ParityLen() {
-		panic("rs: interleaved Decode length mismatch")
+	il.checkLens("Decode", data, parity)
+	if il.vec == nil {
+		return il.decodeRef(data, parity)
 	}
-	il.deinterleave(data)
-	for x := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
+	il.syndromeWords(data, parity)
+	total := Result{Status: StatusClean}
+	for w, c := range il.codes {
+		il.fix[w] = fixup{}
+		sw := il.st[w]
+		if sw == 0 {
+			continue
+		}
+		p, ok := c.locateSingle(byte(sw), byte(sw>>8))
+		if !ok {
+			return Result{Status: StatusUncorrectable}
+		}
+		il.fix[w] = fixup{p: p, mag: byte(sw)}
+		total.Status = StatusCorrected
+		total.Corrected++
+	}
+	for w, f := range il.fix {
+		if f.mag != 0 {
+			il.applyCorrection(w, data, parity, f.p, f.mag)
+		}
+	}
+	return total
+}
+
+// applyCorrection is Code.applyCorrection for way w on the wire layout.
+func (il *Interleaved) applyCorrection(w int, data, parity []byte, p int, magnitude byte) {
+	c := il.codes[w]
+	if p < il.nparity {
+		parity[il.parityStart(w)+(il.nparity-1-p)*il.ways] ^= magnitude
+	} else {
+		data[(c.k-1-(p-il.nparity))*il.ways+w] ^= magnitude
+	}
+}
+
+// decodeRef is the deinterleaving decoder: each way is copied out, decoded
+// by its Code, and copied back only once every way has passed.
+func (il *Interleaved) decodeRef(data, parity []byte) Result {
+	for w := range il.codes {
+		il.gather(w, data, parity)
 	}
 	total := Result{Status: StatusClean}
 	for w, c := range il.codes {
@@ -169,9 +259,8 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 		}
 	}
 	if total.Status == StatusCorrected {
-		il.reinterleave(data)
-		for x := range parity {
-			parity[x] = il.parity[il.parityWay[x]][il.parityIdx[x]]
+		for w := range il.codes {
+			il.scatter(w, data, parity)
 		}
 	}
 	return total
@@ -180,33 +269,40 @@ func (il *Interleaved) Decode(data, parity []byte) Result {
 // Verify reports whether data||parity is a valid interleaved codeword via
 // syndromes only — no correction attempt, no mutation. See Code.Verify.
 func (il *Interleaved) Verify(data, parity []byte) bool {
-	if len(data) != il.total || len(parity) != il.ParityLen() {
-		panic("rs: interleaved Verify length mismatch")
+	il.checkLens("Verify", data, parity)
+	if il.vec == nil {
+		return il.verifyRef(data, parity)
 	}
-	il.deinterleave(data)
-	for x := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
-	}
-	for w, c := range il.codes {
-		if !c.Verify(il.deint[w], il.parity[w]) {
+	il.syndromeWords(data, parity)
+	for _, sw := range il.st {
+		if sw != 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// syndromeWords leaves each way's packed syndrome word (see
+// Code.syndromeWord) in il.st, computed on the wire layout with the three
+// ways' data evaluated in one fused pass.
+func (il *Interleaved) syndromeWords(data, parity []byte) {
+	il.st[0], il.st[1], il.st[2] = il.vec.horner2x3(data)
+	for w, acc := range il.st {
+		il.st[w] = il.vec.horner2(acc, parity, il.parityStart(w), il.ways)
+	}
+}
+
 // VerifyReference is Verify on the byte-level reference syndrome loop of
 // every way, bypassing the word-parallel kernel. Differential suites use it
 // as the pinned slow path; simulation code should call Verify.
 func (il *Interleaved) VerifyReference(data, parity []byte) bool {
-	if len(data) != il.total || len(parity) != il.ParityLen() {
-		panic("rs: interleaved Verify length mismatch")
-	}
-	il.deinterleave(data)
-	for x := range parity {
-		il.parity[il.parityWay[x]][il.parityIdx[x]] = parity[x]
-	}
+	il.checkLens("Verify", data, parity)
+	return il.verifyRef(data, parity)
+}
+
+func (il *Interleaved) verifyRef(data, parity []byte) bool {
 	for w, c := range il.codes {
+		il.gather(w, data, parity)
 		if !c.VerifyReference(il.deint[w], il.parity[w]) {
 			return false
 		}

@@ -83,11 +83,17 @@ func New(k, nparity int) (*Code, error) {
 	if k+nparity > gf256.Order {
 		return nil, fmt.Errorf("rs: codeword length %d exceeds %d", k+nparity, gf256.Order)
 	}
+	return &Code{k: k, nparity: nparity, n: k + nparity, gen: generator(nparity), vec: synTabFor(nparity)}, nil
+}
+
+// generator returns g(x) = prod_{j=0}^{nparity-1}(x - a^j), monic, highest
+// degree first.
+func generator(nparity int) []byte {
 	gen := []byte{1}
 	for j := 0; j < nparity; j++ {
 		gen = gf256.PolyMul(gen, []byte{1, gf256.Exp(j)})
 	}
-	return &Code{k: k, nparity: nparity, n: k + nparity, gen: gen, vec: synTabFor(nparity)}, nil
+	return gen
 }
 
 // MustNew is like New but panics on error. Intended for package-level
@@ -116,6 +122,9 @@ func (c *Code) T() int { return c.nparity / 2 }
 // (length nparity). It implements systematic encoding: parity is the
 // remainder of data(x)*x^nparity divided by the generator polynomial, so the
 // transmitted codeword is data followed by parity.
+//
+// This byte-at-a-time LFSR loop is the encoder's pinned reference; the
+// packed encoder in syndrome.go is differentially tested against it.
 func (c *Code) Encode(data, parity []byte) {
 	if len(data) != c.k {
 		panic(fmt.Sprintf("rs: Encode data length %d, want %d", len(data), c.k))
@@ -144,13 +153,13 @@ func (c *Code) Encode(data, parity []byte) {
 // received word (data || parity). It returns the syndrome slice and whether
 // all syndromes are zero.
 //
-// This is the dispatch point of the RS kernel layer: codes with at most
-// synLanes parity symbols evaluate all syndromes word-parallel (see
+// This is the syndrome dispatch point of the RS kernel layer: codes with at
+// most synLanes parity symbols evaluate all syndromes word-parallel (see
 // syndrome.go) unless built with -tags purego, which pins the byte-level
 // reference below. Both paths are bit-identical by construction and the
 // differential and fuzz suites hold them to it.
 func (c *Code) syndromes(data, parity []byte, synd []byte) bool {
-	if vectoredSyndromes && c.vec != nil {
+	if packedKernels && c.vec != nil {
 		w := c.syndromeWord(data, parity)
 		for j := 0; j < c.nparity; j++ {
 			synd[j] = byte(w >> (8 * uint(j)))
@@ -219,7 +228,7 @@ func (c *Code) Verify(data, parity []byte) bool {
 	if len(data) != c.k || len(parity) != c.nparity {
 		panic("rs: Verify length mismatch")
 	}
-	if vectoredSyndromes && c.vec != nil {
+	if packedKernels && c.vec != nil {
 		// The packed word is zero exactly when every syndrome is; no
 		// unpacking, no scratch.
 		return c.syndromeWord(data, parity) == 0
@@ -253,23 +262,30 @@ func (c *Code) VerifyReference(data, parity []byte) bool {
 // single error of magnitude e at polynomial position p, the position is
 // log(S1/S0) and the magnitude is S0 directly.
 func (c *Code) decodeSingle(data, parity []byte, synd []byte) Result {
-	s0, s1 := synd[0], synd[1]
+	p, ok := c.locateSingle(synd[0], synd[1])
+	if !ok {
+		return Result{Status: StatusUncorrectable}
+	}
+	c.applyCorrection(data, parity, p, synd[0])
+	return Result{Status: StatusCorrected, Corrected: 1}
+}
+
+// locateSingle returns the codeword position of the single symbol error
+// with nonzero syndromes s0, s1 (its magnitude is s0), or false when the
+// syndromes prove the word uncorrectable.
+func (c *Code) locateSingle(s0, s1 byte) (int, bool) {
 	if s0 == 0 || s1 == 0 {
 		// A single symbol error always yields two nonzero syndromes;
 		// one zero syndrome proves at least two errors.
-		return Result{Status: StatusUncorrectable}
+		return 0, false
 	}
 	p := gf256.Log(s1) - gf256.Log(s0)
 	if p < 0 {
 		p += gf256.Order
 	}
-	if p >= c.n {
-		// The "error" falls in a vacant (zero-padded) position of the
-		// shortened code: detected uncorrectable.
-		return Result{Status: StatusUncorrectable}
-	}
-	c.applyCorrection(data, parity, p, s0)
-	return Result{Status: StatusCorrected, Corrected: 1}
+	// A position >= n falls in a vacant (zero-padded) position of the
+	// shortened code: detected uncorrectable.
+	return p, p < c.n
 }
 
 // applyCorrection XORs magnitude into the codeword coefficient of x^p.

@@ -2,7 +2,7 @@
 
 package rs
 
-// vectoredSyndromes selects the word-parallel syndrome evaluator for
-// codes with at most synLanes parity symbols. Constant, so the dispatch
-// branch in syndromes/Verify folds away at compile time.
-const vectoredSyndromes = true
+// packedKernels selects the word-parallel syndrome evaluator and the
+// packed LFSR encoder for codes with at most synLanes parity symbols.
+// Constant, so the dispatch branches fold away at compile time.
+const packedKernels = true

@@ -18,9 +18,28 @@
 // is np parallel L1 loads per two bytes instead of 2·np serial
 // exp/log-table multiplies.
 //
-// The byte-at-a-time loops in rs.go (syndromesRef) are kept verbatim as
-// the reference this path is differentially pinned against; the purego
-// build tag (and nparity > 8) falls back to them.
+// The same bank also packs the systematic encoder: the nparity-symbol LFSR
+// parity register fits one uint64, left-aligned (parity symbol j in byte
+// 7-j, unused low bytes zero), so one shift-in step is
+//
+//	state ← state<<8 ⊕ enc[d ⊕ byte(state>>56)]
+//
+// where enc[fb] is the feedback fb·g(x) (generator minus its monic term)
+// pre-placed in lane order. The feedback is GF(2)-linear in fb, so two
+// steps fold into two independent lookups on the current register: enc2
+// absorbs the first step's feedback into the second, halving the
+// loop-carried chain. Like the advance tables, enc and enc2 depend only on
+// nparity.
+//
+// horner2 and encode take a start offset and stride so the CXL flit's
+// interleaved bank (3 ways, 2 parity symbols each) runs directly on the
+// wire layout: way w is the bytes w, w+3, w+6, … of the data region, and
+// its parity symbols are likewise every third parity slot (see
+// Interleaved).
+//
+// The byte-at-a-time loops in rs.go (syndromesRef, Encode) are kept
+// verbatim as the reference this path is differentially pinned
+// against; the purego build tag (and nparity > 8) falls back to them.
 package rs
 
 import (
@@ -48,6 +67,12 @@ type synTab struct {
 	// g1[b]: the data byte one step from the pair boundary, advanced one
 	// step in every lane at once (XOR over j of t1[j][b]).
 	g1 [256]uint64
+	// enc[fb]: the encoder feedback fb·(g(x) − x^np), left-aligned
+	// (coefficient of x^(np-1-i) in byte 7-i). enc2[fb]: the register
+	// after feeding back fb and then the feedback that produces,
+	// enc[fb]<<8 ⊕ enc[byte(enc[fb]>>56)].
+	enc  [256]uint64
+	enc2 [256]uint64
 }
 
 var (
@@ -82,6 +107,16 @@ func synTabFor(nparity int) *synTab {
 		}
 		v.mask |= 1 << shift
 	}
+	gen := generator(nparity)
+	for fb := 0; fb < 256; fb++ {
+		for j := 1; j <= nparity; j++ {
+			v.enc[fb] |= uint64(gf256.Mul(gen[j], byte(fb))) << (64 - 8*uint(j))
+		}
+	}
+	for fb := range v.enc2 {
+		e := v.enc[fb]
+		v.enc2[fb] = e<<8 ^ v.enc[byte(e>>56)]
+	}
 	synTabs[nparity] = v
 	return v
 }
@@ -93,21 +128,20 @@ func (c *Code) syndromeWord(data, parity []byte) uint64 {
 	if c.nparity == 2 {
 		// The spec-fixed single-symbol-correct codes: a dedicated
 		// two-lane loop keeps the table pointers in registers.
-		acc := c.vec.horner2(0, data)
-		return c.vec.horner2(acc, parity)
+		acc := c.vec.horner2(0, data, 0, 1)
+		return c.vec.horner2(acc, parity, 0, 1)
 	}
 	acc := c.vec.hornerN(0, data)
 	return c.vec.hornerN(acc, parity)
 }
 
-// horner2 advances a two-lane accumulator across s.
-func (v *synTab) horner2(acc uint64, s []byte) uint64 {
+// horner2 advances a two-lane accumulator across s[i], s[i+stride], ….
+func (v *synTab) horner2(acc uint64, s []byte, i, stride int) uint64 {
 	t2a, t2b := &v.t2[0], &v.t2[1]
 	g1 := &v.g1
-	i := 0
-	for ; i+1 < len(s); i += 2 {
+	for ; i+stride < len(s); i += 2 * stride {
 		acc = t2a[byte(acc)] ^ t2b[byte(acc>>8)] ^
-			g1[s[i]] ^ uint64(s[i+1])*0x0101
+			g1[s[i]] ^ uint64(s[i+stride])*0x0101
 	}
 	if i < len(s) {
 		acc = v.t1[0][byte(acc)] ^ v.t1[1][byte(acc>>8)] ^
@@ -135,4 +169,51 @@ func (v *synTab) hornerN(acc uint64, s []byte) uint64 {
 		acc = next ^ uint64(s[i])*v.mask
 	}
 	return acc
+}
+
+// horner2x3 advances the three accumulators of a 3-way interleaved
+// two-lane bank (the CXL flit geometry) across the whole data region in
+// one pass, so the three ways' dependency chains overlap. Way w's symbols
+// are data[w], data[w+3], ….
+func (v *synTab) horner2x3(data []byte) (a0, a1, a2 uint64) {
+	t2a, t2b := &v.t2[0], &v.t2[1]
+	g1 := &v.g1
+	d := data
+	for len(d) >= 6 {
+		a0 = t2a[byte(a0)] ^ t2b[byte(a0>>8)] ^ g1[d[0]] ^ uint64(d[3])*0x0101
+		a1 = t2a[byte(a1)] ^ t2b[byte(a1>>8)] ^ g1[d[1]] ^ uint64(d[4])*0x0101
+		a2 = t2a[byte(a2)] ^ t2b[byte(a2>>8)] ^ g1[d[2]] ^ uint64(d[5])*0x0101
+		d = d[6:]
+	}
+	i := len(data) - len(d)
+	return v.horner2(a0, data, i, 3), v.horner2(a1, data, i+1, 3), v.horner2(a2, data, i+2, 3)
+}
+
+// encode continues the packed LFSR register st across data[i],
+// data[i+stride], … and returns it (parity symbol j in byte 7-j). Each
+// loop step consumes two symbols through enc2/enc.
+func (v *synTab) encode(st uint64, data []byte, i, stride int) uint64 {
+	enc, enc2 := &v.enc, &v.enc2
+	for ; i+stride < len(data); i += 2 * stride {
+		st = st<<16 ^ enc2[data[i]^byte(st>>56)] ^ enc[data[i+stride]^byte(st>>48)]
+	}
+	if i < len(data) {
+		st = st<<8 ^ enc[data[i]^byte(st>>56)]
+	}
+	return st
+}
+
+// encode3 runs the registers of a 3-way interleaved bank in one pass over
+// the wire layout, so the three lanes' dependency chains overlap.
+func (v *synTab) encode3(data []byte) (s0, s1, s2 uint64) {
+	enc, enc2 := &v.enc, &v.enc2
+	d := data
+	for len(d) >= 6 {
+		s0 = s0<<16 ^ enc2[d[0]^byte(s0>>56)] ^ enc[d[3]^byte(s0>>48)]
+		s1 = s1<<16 ^ enc2[d[1]^byte(s1>>56)] ^ enc[d[4]^byte(s1>>48)]
+		s2 = s2<<16 ^ enc2[d[2]^byte(s2>>56)] ^ enc[d[5]^byte(s2>>48)]
+		d = d[6:]
+	}
+	i := len(data) - len(d)
+	return v.encode(s0, data, i, 3), v.encode(s1, data, i+1, 3), v.encode(s2, data, i+2, 3)
 }

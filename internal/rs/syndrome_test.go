@@ -109,13 +109,17 @@ func TestVerifyAllocFree(t *testing.T) {
 // t) through both syndrome paths and the full decoder, asserting the
 // vectored/reference verdicts agree and the decode outcome is
 // self-consistent: a corrected word must re-verify clean on the reference
-// loop, and corrections never exceed t. The CI kernel leg replays the
-// committed corpus under both the default and purego builds.
+// loop, and corrections never exceed t. The same pattern, spread over the
+// wire layout of a 1-5 way interleaved bank, must decode in place exactly
+// as the deinterleaving reference does, and leave an uncorrectable flit
+// untouched. The CI kernel leg replays the committed corpus under both the
+// default and purego builds.
 func FuzzVerifyDecode(f *testing.F) {
 	f.Add(uint8(84), uint8(2), []byte{}, []byte{})
 	f.Add(uint8(84), uint8(2), []byte{1, 2, 3}, []byte{0, 1, 40, 2, 85, 3})
 	f.Add(uint8(20), uint8(4), []byte{9, 9, 9, 9}, []byte{5, 7, 11, 13, 17, 19, 23, 29})
 	f.Add(uint8(50), uint8(8), []byte{0xFF}, []byte{57, 0xAA})
+	f.Add(uint8(83), uint8(17), []byte{4, 2}, []byte{0, 7, 1, 9, 200, 3})
 	f.Fuzz(func(t *testing.T, kRaw, npRaw uint8, seed, errs []byte) {
 		k := 1 + int(kRaw)%100
 		np := 1 + int(npRaw)%8
@@ -172,5 +176,26 @@ func FuzzVerifyDecode(f *testing.F) {
 			// Word must be left unusable-but-intact; nothing to assert
 			// beyond not panicking.
 		}
+
+		ways := 1 + int(npRaw>>3)%5
+		il, err := NewInterleaved(k*ways+int(kRaw)%ways, ways, np)
+		if err != nil {
+			return
+		}
+		wire := make([]byte, il.DataLen()+il.ParityLen())
+		for i := range wire[:il.DataLen()] {
+			if len(seed) > 0 {
+				wire[i] = seed[i%len(seed)]
+			}
+		}
+		ild, ilp := wire[:il.DataLen()], wire[il.DataLen():]
+		il.Encode(ild, ilp)
+		for i := 0; i+1 < len(errs); i += 2 {
+			// Scale by ways so small offsets reach every way's
+			// symbols, and stagger by pair so patterns pile up
+			// within one way as well as spread across them.
+			wire[(int(errs[i])*ways+(i/2)%ways)%len(wire)] ^= errs[i+1]
+		}
+		checkInterleavedDecode(t, il, ild, ilp)
 	})
 }

@@ -143,10 +143,21 @@ func DefaultMeshConfig(mode Mode) MeshConfig {
 	}
 }
 
+// MaxMeshNodes is the largest mesh or torus: node IDs travel in the flit's
+// one-byte routing tags.
+const MaxMeshNodes = 256
+
+// MeshSizeOK reports whether a w×h mesh has 1..MaxMeshNodes nodes. Each
+// side is bounded before the product is taken, which would otherwise wrap
+// (2^32 × 2^32 is 0 in a 64-bit int).
+func MeshSizeOK(w, h int) bool {
+	return w >= 1 && h >= 1 && w <= MaxMeshNodes && h <= MaxMeshNodes && w*h <= MaxMeshNodes
+}
+
 // NewMesh builds the W×H mesh. Node IDs are y*W+x, carried in the flit's
 // routing byte; W*H must fit in one byte.
 func NewMesh(eng *sim.Engine, w, h int, cfg MeshConfig) *Mesh {
-	if w < 1 || h < 1 || w*h > 256 {
+	if !MeshSizeOK(w, h) {
 		panic(fmt.Sprintf("switchfab: mesh %dx%d out of range", w, h))
 	}
 	m := &Mesh{W: w, H: h, Eng: eng, wrap: cfg.Wrap, berScale: 1, noExpress: cfg.NoExpress}

@@ -43,6 +43,27 @@ func TestInterRouterWireNonAdjacentPanics(t *testing.T) {
 	m.InterRouterWire(0, 0, 2, 0)
 }
 
+// TestMeshSizeOK: each side is bounded before the node-count product, so
+// sides whose product wraps (2^32 × 2^32 = 0) are rejected.
+func TestMeshSizeOK(t *testing.T) {
+	for _, d := range [][2]int{{1, 1}, {16, 16}, {256, 1}, {1, 256}, {8, 32}} {
+		if !MeshSizeOK(d[0], d[1]) {
+			t.Errorf("MeshSizeOK(%d, %d) = false", d[0], d[1])
+		}
+	}
+	for _, d := range [][2]int{{0, 1}, {1, -1}, {257, 1}, {17, 16}, {1 << 32, 1 << 32}, {1 << 32, 1}, {-1 << 32, -1 << 32}} {
+		if MeshSizeOK(d[0], d[1]) {
+			t.Errorf("MeshSizeOK(%d, %d) = true", d[0], d[1])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewMesh accepted a wrapping size")
+		}
+	}()
+	NewMesh(sim.NewEngine(), 1<<32, 1<<32, DefaultMeshConfig(ModeRXL))
+}
+
 func TestAttachNodeNilPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 2, 2, DefaultMeshConfig(ModeRXL))

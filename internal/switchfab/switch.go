@@ -141,6 +141,13 @@ func (s *Switch) forward(f *flit.Flit, egress *link.Wire) {
 // short-circuit inside the flit layer, only the internal fault point draws
 // (so the RNG stream matches the byte-level reference), and the egress
 // regeneration resolves to a no-op on an image that never changed.
+//
+// The FEC is re-encoded only when the internal fault point touched the
+// image. A flit that decoded clean or corrected is already a valid
+// codeword — a single-symbol correction zeroes both syndromes and the
+// general decoder re-checks its result — and a systematic code has exactly
+// one codeword per data word, so re-encoding it would rewrite the parity
+// bytes it already carries.
 func (s *Switch) process(f *flit.Flit) bool {
 	s.Stats.FlitsIn++
 
@@ -166,10 +173,13 @@ func (s *Switch) process(f *flit.Flit) bool {
 	// Internal fault point: datapath/buffer corruption inside the switch.
 	// A deferred seal is materialized before the image mutates, so the
 	// corruption lands on the byte-exact sealed image.
-	corrupted := false
+	// A hook may mutate the image even when it does not report a
+	// corruption, so any hook call counts as touching it.
+	corrupted, touched := false, false
 	if s.InternalHook != nil {
 		f.Materialize(s.fec)
 		f.Taint()
+		touched = true
 		if s.InternalHook(f) {
 			corrupted = true
 		}
@@ -179,17 +189,21 @@ func (s *Switch) process(f *flit.Flit) bool {
 		f.Materialize(s.fec)
 		f.Raw[bit/8] ^= 1 << (7 - bit%8)
 		f.Taint()
-		corrupted = true
+		corrupted, touched = true, true
 	}
 	if corrupted {
 		s.Stats.InternalCorruptions++
 	}
 
 	// Egress: ModeCXL regenerates the CRC — blessing any internal
-	// corruption. ModeRXL leaves the end-to-end CRC untouched.
+	// corruption. ModeRXL leaves the end-to-end CRC untouched. On an
+	// untouched flit the rewrite stores the CRC the ingress check just
+	// matched, but it still switches a clean flit's seal kind to plain.
 	if s.Mode == ModeCXL {
 		f.RecomputeCRC()
 	}
-	f.ReencodeFEC(s.fec)
+	if touched {
+		f.ReencodeFEC(s.fec)
+	}
 	return true
 }

@@ -146,6 +146,24 @@ func TestNoCRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestNoCRejectsOversizedMesh: sides whose product wraps to a small int
+// (2^32 × 2^32 is 0) or fits only by wrapping must be rejected before any
+// router is allocated, not pass the node-count check and exhaust memory.
+func TestNoCRejectsOversizedMesh(t *testing.T) {
+	cfg := rxl.Config{Protocol: rxl.RXL}
+	for _, d := range [][2]int{{1 << 32, 1 << 32}, {1 << 32, 1}, {257, 1}, {1, 300}, {17, 16}, {0, 4}, {-16, -16}} {
+		if _, err := rxl.NewNoC(d[0], d[1], cfg); err == nil {
+			t.Errorf("NewNoC(%d, %d) accepted", d[0], d[1])
+		}
+		if _, err := rxl.NewTorus(d[0], d[1], cfg); err == nil {
+			t.Errorf("NewTorus(%d, %d) accepted", d[0], d[1])
+		}
+	}
+	if _, err := rxl.NewNoC(16, 16, cfg); err != nil {
+		t.Fatalf("largest mesh rejected: %v", err)
+	}
+}
+
 func TestDefaultLinkConfigOverride(t *testing.T) {
 	lc := rxl.DefaultLinkConfig(rxl.RXL)
 	lc.CoalesceCount = 4

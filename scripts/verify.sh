@@ -319,8 +319,8 @@ rung_bench() {
   # FlitTransfer/MeshTransfer/MeshExpress ops are ~0.3-20µs (20000x), the
   # MC inner loop is ~8ms/op (100x is already ~1s/rep), the MC epoch-skip
   # legs span 300ns-350µs/op (2000x keeps the slow leg ~0.7s/rep), the
-  # engine pump is ~20ns/op (2000000x), the CRC kernels are 0.1-2.5µs
-  # (200000x).
+  # engine pump is ~20ns/op (2000000x), the CRC and RS kernels are
+  # 0.1-4µs (200000x).
   run go test -run '^$' -bench 'FlitTransfer' \
     -count 5 -benchtime 20000x -benchmem . | tee bench.txt
   run go test -run '^$' -bench 'MeshTransferFastPath' \
@@ -338,6 +338,8 @@ rung_bench() {
   run go test -run '^$' -bench 'CRCCLMUL' \
     -count 5 -benchtime 1000000x -benchmem . | tee -a bench.txt
   run go test -run '^$' -bench 'RSSyndromeVectored' \
+    -count 5 -benchtime 200000x -benchmem . | tee -a bench.txt
+  run go test -run '^$' -bench 'RSEncode' \
     -count 5 -benchtime 200000x -benchmem . | tee -a bench.txt
 
   jq -r '.output' BENCH_baseline.json >baseline.txt
@@ -367,6 +369,7 @@ rung_bench() {
     -min-ratio 'BenchmarkMCEpochSkip/pr5-ber1e6,BenchmarkMCEpochSkip/epoch-ber1e9,5' \
     -min-ratio 'BenchmarkCRCSlicing/table,BenchmarkCRCSlicing/by16,4' \
     -min-ratio 'BenchmarkRSSyndromeVectored/bytelevel,BenchmarkRSSyndromeVectored/vectored,3' \
+    -min-ratio 'BenchmarkRSEncode/reference,BenchmarkRSEncode/packed,7' \
     "${CLMUL_GATE[@]}"
 }
 
