@@ -13,6 +13,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/flit"
@@ -177,18 +178,30 @@ func sealedLimit(n int) int {
 
 // payloadBody fills bytes [8:limit) of a tag payload with a cheap
 // deterministic keystream of the tag, so corrupted payloads that escape
-// the protocol are detectable at the application (Fail_data).
+// the protocol are detectable at the application (Fail_data). Each
+// xorshift step supplies the next 8 body bytes, stored little-endian; a
+// body tail shorter than 8 bytes takes the low bytes of one further step.
+// The filler never reaches a reported number: the RS FEC and the
+// CRC-64/ISN are linear codes, so every decode and detection verdict
+// depends only on the error pattern, not on the payload bytes.
 func payloadBody(tag uint64, p []byte) {
+	body := p[8:sealedLimit(len(p))]
 	x := keystreamSeed(tag)
-	for i := 8; i < sealedLimit(len(p)); i++ {
+	for ; len(body) >= 8; body = body[8:] {
 		x = keystreamNext(x)
-		p[i] = byte(x)
+		binary.LittleEndian.PutUint64(body, x)
+	}
+	if len(body) > 0 {
+		x = keystreamNext(x)
+		for i := range body {
+			body[i] = byte(x >> (8 * i))
+		}
 	}
 }
 
 // keystreamSeed and keystreamNext define payloadBody's xorshift
-// keystream: byte i of the body is the low byte of the state after i-7
-// steps from the seed.
+// keystream: body word j (bytes 8+8j through 15+8j) is the state after
+// j+1 steps from the seed.
 func keystreamSeed(tag uint64) uint64 { return tag*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D }
 
 func keystreamNext(x uint64) uint64 {
@@ -209,17 +222,24 @@ func SealedPayload(tag uint64) []byte {
 
 // PayloadIntact reports whether a delivered payload matches its tag's
 // keystream (ignoring the routing tag bytes at the payload tail). It
-// generates the keystream as it compares, so a delivery costs no
-// allocation.
+// regenerates the keystream a word at a time and ORs every difference
+// into one accumulator, so it checks every sealed byte and a delivery
+// costs no allocation.
 func PayloadIntact(p []byte) bool {
+	body := p[8:sealedLimit(len(p))]
 	x := keystreamSeed(trace.TagOf(p))
-	for i := 8; i < sealedLimit(len(p)); i++ {
+	var diff uint64
+	for ; len(body) >= 8; body = body[8:] {
 		x = keystreamNext(x)
-		if p[i] != byte(x) {
-			return false
+		diff |= binary.LittleEndian.Uint64(body) ^ x
+	}
+	if len(body) > 0 {
+		x = keystreamNext(x)
+		for i, b := range body {
+			diff |= uint64(b ^ byte(x>>(8*i)))
 		}
 	}
-	return true
+	return diff == 0
 }
 
 // FailureCounts is the paper's protocol-failure taxonomy (Section 7.1)

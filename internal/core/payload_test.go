@@ -50,3 +50,17 @@ func TestPayloadIntactMatchesReference(t *testing.T) {
 		t.Errorf("PayloadIntact allocates %v per call", n)
 	}
 }
+
+// BenchmarkPayloadIntact is the keystream cost of one delivery: fill a
+// full payload's body at the source and check it at the sink.
+func BenchmarkPayloadIntact(b *testing.B) {
+	p := trace.TagPayload(7, flit.PayloadSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payloadBody(7, p)
+		if !PayloadIntact(p) {
+			b.Fatal("intact payload rejected")
+		}
+	}
+}

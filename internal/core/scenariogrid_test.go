@@ -199,7 +199,7 @@ func TestScenarioGridEnumeration(t *testing.T) {
 	g := ScenarioGrid{
 		Base: Config{Protocol: link.ProtocolRXL, Seed: 3},
 		Topologies: []Topology{
-			{W: 4, H: 1},          // non-square: transpose drops out
+			{W: 4, H: 1}, // non-square: transpose drops out
 			{Kind: TopoTorus, W: 2, H: 2},
 		},
 		Workloads: []workload.Spec{
@@ -231,12 +231,12 @@ func TestScenarioGridEnumeration(t *testing.T) {
 	}
 
 	bad := []ScenarioGrid{
-		{Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                         // N missing
-		{N: 5, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                                        // no topology
-		{N: 5, Topologies: []Topology{{W: 2, H: 2}}},                                                                            // no workload
-		{N: 5, Topologies: []Topology{{Kind: "ring", W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},    // bad topo
-		{N: 5, Topologies: []Topology{{W: 1 << 32, H: 1 << 32}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},      // size wraps to 0
-		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: "tornado"}}},                             // bad workload
+		{Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                               // N missing
+		{N: 5, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                                                                               // no topology
+		{N: 5, Topologies: []Topology{{W: 2, H: 2}}},                                                                                                   // no workload
+		{N: 5, Topologies: []Topology{{Kind: "ring", W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                           // bad topo
+		{N: 5, Topologies: []Topology{{W: 1 << 32, H: 1 << 32}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}},                             // size wraps to 0
+		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: "tornado"}}},                                                    // bad workload
 		{N: 5, Topologies: []Topology{{W: 2, H: 2}}, Workloads: []workload.Spec{{Kind: workload.KindUniform}}, Faults: []FaultScript{{Kind: "quake"}}}, // bad fault
 	}
 	for i, b := range bad {

@@ -36,6 +36,10 @@ type Channel struct {
 
 	rng *RNG
 
+	// log1mp caches log1p(-BER) for gap draws; logFor is the BER it was
+	// computed for, so a direct write to BER or a SetBER recomputes it.
+	log1mp, logFor float64
+
 	// next is the schedule: the number of bits that will pass through the
 	// channel before the next error event (NoEvent if none ever will).
 	// Valid only once primed.
@@ -59,8 +63,24 @@ func NewChannel(ber, burstProb float64, rng *RNG) *Channel {
 func (ch *Channel) prime() {
 	if !ch.primed {
 		ch.primed = true
-		ch.next = ch.rng.Geometric(ch.BER)
+		ch.next = ch.gap()
 	}
+}
+
+// gap draws the next error gap at the current BER: rng.Geometric(BER)
+// with the logarithm cached across draws.
+func (ch *Channel) gap() int {
+	p := ch.BER
+	if p <= 0 {
+		return math.MaxInt
+	}
+	if p >= 1 {
+		return 0
+	}
+	if p != ch.logFor {
+		ch.log1mp, ch.logFor = math.Log1p(-p), p
+	}
+	return ch.rng.GeometricLog(ch.log1mp)
 }
 
 // NextEvent returns the number of clean bits that will pass through the
@@ -105,7 +125,7 @@ func (ch *Channel) Advance(bits int) {
 func (ch *Channel) SetBER(ber float64) {
 	ch.BER = ber
 	if ch.primed {
-		ch.next = ch.rng.Geometric(ber)
+		ch.next = ch.gap()
 	}
 }
 
@@ -154,7 +174,7 @@ func (ch *Channel) strike(buf []byte, bits int) int {
 			flipped++
 			ch.BitsFlipped++
 		}
-		gap := ch.rng.Geometric(ch.BER)
+		gap := ch.gap()
 		if gap >= NoEvent-pos-1 { // avoid overflow on MaxInt gaps
 			pos = NoEvent
 			break

@@ -145,6 +145,46 @@ func TestGeometricEdges(t *testing.T) {
 	}
 }
 
+// TestChannelGapMatchesGeometric: the channel's gap draws, with
+// log1p(-BER) cached across draws, are bit-identical to rng.Geometric(BER)
+// on the same stream — across SetBER mid-stream, a direct write to BER
+// (the cache is keyed on the value it was computed for), and the
+// draw-free edges BER 0 and BER 1.
+func TestChannelGapMatchesGeometric(t *testing.T) {
+	ch := NewChannel(1e-3, 0, NewRNG(77))
+	ref := NewRNG(77)
+	same := func(step string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: channel gap %d, Geometric %d", step, got, want)
+		}
+	}
+	draws := func(step string) {
+		t.Helper()
+		for i := 0; i < 300; i++ {
+			same(step, ch.gap(), ref.Geometric(ch.BER))
+		}
+	}
+	same("prime", ch.NextEvent(), ref.Geometric(1e-3))
+	draws("initial BER")
+	ch.SetBER(2e-6)
+	same("SetBER redraw", ch.NextEvent(), ref.Geometric(2e-6))
+	draws("after SetBER")
+	ch.BER = 0.25
+	draws("after direct BER write")
+	ch.BER = 0
+	draws("BER 0")
+	ch.BER = 1
+	draws("BER 1")
+	ch.SetBER(0)
+	if ch.NextEvent() != NoEvent {
+		t.Fatal("SetBER(0) left an event scheduled")
+	}
+	ch.SetBER(1e-3)
+	same("SetBER back from 0", ch.NextEvent(), ref.Geometric(1e-3))
+	draws("back at the initial BER")
+}
+
 func TestChannelZeroBER(t *testing.T) {
 	ch := NewChannel(0, 0, NewRNG(1))
 	buf := make([]byte, 256)

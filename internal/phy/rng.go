@@ -103,12 +103,19 @@ func (r *RNG) Geometric(p float64) int {
 	if p >= 1 {
 		return 0
 	}
+	return r.GeometricLog(math.Log1p(-p))
+}
+
+// GeometricLog is Geometric for p in (0,1) given log1mp = log1p(-p), for
+// loops that draw many gaps at one rate: the logarithm is computed once
+// by the caller, and the draw is bit-identical to Geometric(p).
+func (r *RNG) GeometricLog(log1mp float64) int {
 	u := r.Float64()
 	// Guard against log(0).
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Log(u) / math.Log1p(-p)
+	g := math.Log(u) / log1mp
 	if g >= float64(math.MaxInt64) {
 		return math.MaxInt
 	}

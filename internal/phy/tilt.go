@@ -63,6 +63,25 @@ func GapLogLR(p, q float64, gap int) float64 {
 // acceptance tests are built on. log1p keeps precision at the deep-tail
 // BERs (≤1e-9) this exists for.
 func UnitLogLR(p, q float64, bits, flips int) float64 {
-	clean := math.Log1p(-p) - math.Log1p(-q)
-	return float64(flips)*math.Log(p/q) + float64(bits-flips)*clean
+	return NewUnitLR(p, q).Log(bits, flips)
+}
+
+// UnitLR is UnitLogLR with its logarithms hoisted out of the per-unit
+// path: build it once per (p, q) and call Log per unit. Log evaluates the
+// same expression on the same operands, so it is bit-identical to
+// UnitLogLR.
+type UnitLR struct {
+	logPQ float64 // log(p/q), the per-flip term
+	clean float64 // log(1-p) - log(1-q), the per-clean-bit term
+}
+
+// NewUnitLR precomputes the likelihood-ratio terms of true BER p against
+// proposal BER q.
+func NewUnitLR(p, q float64) UnitLR {
+	return UnitLR{logPQ: math.Log(p / q), clean: math.Log1p(-p) - math.Log1p(-q)}
+}
+
+// Log returns UnitLogLR(p, q, bits, flips).
+func (u UnitLR) Log(bits, flips int) float64 {
+	return float64(flips)*u.logPQ + float64(bits-flips)*u.clean
 }

@@ -129,3 +129,33 @@ func TestUnitWeightMeanIsOne(t *testing.T) {
 		t.Fatalf("mean weight %.6f ± %.6f not consistent with 1", mean, sigma)
 	}
 }
+
+// TestUnitLRMatchesUnitLogLR: the hoisted UnitLR (and UnitLogLR, now its
+// wrapper) is bit-identical to the original three-logarithm expression,
+// kept inline here as the oracle, over a grid of rates, widths and flip
+// counts that runs past the estimators' 16-entry weight table.
+func TestUnitLRMatchesUnitLogLR(t *testing.T) {
+	unhoisted := func(p, q float64, bits, flips int) float64 {
+		clean := math.Log1p(-p) - math.Log1p(-q)
+		return float64(flips)*math.Log(p/q) + float64(bits-flips)*clean
+	}
+	for _, p := range []float64{1e-15, 1e-12, 1e-9, 3e-7, 1e-6, 1e-4} {
+		for _, q := range []float64{p, 2 * p, 1e-5, 1e-4, 5e-4, 3e-3, 0.02} {
+			if q < p {
+				continue
+			}
+			lr := NewUnitLR(p, q)
+			for _, bits := range []int{1, 2048, 4 * 2048, 64 * 2048} {
+				for flips := 0; flips <= 40 && flips <= bits; flips++ {
+					want := math.Float64bits(unhoisted(p, q, bits, flips))
+					if got := math.Float64bits(lr.Log(bits, flips)); got != want {
+						t.Fatalf("UnitLR(%g,%g).Log(%d,%d) bits %#x, want %#x", p, q, bits, flips, got, want)
+					}
+					if got := math.Float64bits(UnitLogLR(p, q, bits, flips)); got != want {
+						t.Fatalf("UnitLogLR(%g,%g,%d,%d) bits %#x, want %#x", p, q, bits, flips, got, want)
+					}
+				}
+			}
+		}
+	}
+}

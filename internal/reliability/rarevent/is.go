@@ -54,6 +54,32 @@ func walkTilted(ctx context.Context, ch *phy.Channel, trials int, onStruck func(
 	return cleanFlits
 }
 
+// unitWeights serves one estimator run's per-unit importance weight
+// exp(UnitLogLR(p, q, bits, flips)). The weights of the first len(w) flip
+// counts — every clean and nearly every struck unit at the proposal tilts
+// in use — are computed once per run; larger counts take the direct
+// expression. Both are bit-identical to the unhoisted form.
+type unitWeights struct {
+	lr   phy.UnitLR
+	bits int
+	w    [16]float64
+}
+
+func newUnitWeights(p, q float64, bits int) *unitWeights {
+	u := &unitWeights{lr: phy.NewUnitLR(p, q), bits: bits}
+	for k := range u.w {
+		u.w[k] = math.Exp(u.lr.Log(bits, k))
+	}
+	return u
+}
+
+func (u *unitWeights) at(flips int) float64 {
+	if flips < len(u.w) {
+		return u.w[flips]
+	}
+	return math.Exp(u.lr.Log(u.bits, flips))
+}
+
 // cancelCheckMask sets the context-poll period of the estimator loops:
 // every 4096 steps, cheap enough to vanish against even the lightest
 // per-step work while keeping cancellation latency in the microseconds.
@@ -77,15 +103,16 @@ func (e ISFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	}
 	p, q := e.BER, e.Proposal
 	ch := phy.TiltedChannel(p, q, phy.NewRNG(seed))
+	wt := newUnitWeights(p, q, UnitBits)
 	est := Estimate{Trials: trials, Analytic: analyticFER(p)}
 	clean := walkTilted(ctx, ch, trials, func() {
-		w := math.Exp(phy.UnitLogLR(p, q, UnitBits, ch.Traverse(UnitBits)))
+		w := wt.at(ch.Traverse(UnitBits))
 		est.SumW += w
 		est.Hits++
 		est.SumWZ += w
 		est.SumWZ2 += w * w
 	})
-	est.SumW += float64(clean) * math.Exp(phy.UnitLogLR(p, q, UnitBits, 0))
+	est.SumW += float64(clean) * wt.at(0)
 	est.finalize()
 	return est
 }
@@ -122,6 +149,7 @@ func (e ISPathFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 	hops := e.Hops
 	span := hops * UnitBits
 	ch := phy.TiltedChannel(p, q, phy.NewRNG(seed))
+	wt := newUnitWeights(p, q, span)
 	est := Estimate{
 		Trials:   trials,
 		Analytic: -math.Expm1(float64(span) * math.Log1p(-p)),
@@ -155,7 +183,7 @@ func (e ISPathFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 			flips += ch.Traverse(UnitBits)
 			h++
 		}
-		w := math.Exp(phy.UnitLogLR(p, q, span, flips))
+		w := wt.at(flips)
 		est.SumW += w
 		if flips > 0 {
 			est.Hits++
@@ -164,7 +192,7 @@ func (e ISPathFER) Run(ctx context.Context, trials int, seed uint64) Estimate {
 		}
 		i++
 	}
-	est.SumW += float64(cleanTraversals) * math.Exp(phy.UnitLogLR(p, q, span, 0))
+	est.SumW += float64(cleanTraversals) * wt.at(0)
 	est.finalize()
 	return est
 }
@@ -188,6 +216,7 @@ func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint6
 	master := phy.NewRNG(seed)
 	ch := phy.TiltedChannel(p, q, master.Split())
 	payloadRNG := master.Split()
+	wt := newUnitWeights(p, q, UnitBits)
 	fec := flit.NewFEC()
 	var f, reference flit.Flit
 	clean := walkTilted(ctx, ch, trials, func() {
@@ -195,7 +224,7 @@ func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint6
 		f.SealCXL(fec)
 		reference = f
 		k := ch.Corrupt(f.Raw[:])
-		w := math.Exp(phy.UnitLogLR(p, q, UnitBits, k))
+		w := wt.at(k)
 		sumW += w
 		struck++
 		ev := fecHarmless
@@ -213,7 +242,7 @@ func isDecode(ctx context.Context, ber, proposal float64, trials int, seed uint6
 		}
 		sink(w, ev)
 	})
-	sumW += float64(clean) * math.Exp(phy.UnitLogLR(p, q, UnitBits, 0))
+	sumW += float64(clean) * wt.at(0)
 	return sumW, struck
 }
 

@@ -281,3 +281,21 @@ func TestISPathFERWeightsSumToOne(t *testing.T) {
 		t.Fatalf("mean weight %.4f, want ≈1", est.MeanWeight)
 	}
 }
+
+// TestUnitWeightsMatchUnhoisted: the per-run weight table and its
+// fallback past 16 flips return exactly math.Exp(phy.UnitLogLR(...)),
+// the weight the estimators computed per struck unit before hoisting.
+func TestUnitWeightsMatchUnhoisted(t *testing.T) {
+	for _, pq := range [][2]float64{{1e-9, AutoProposalFER(1e-9)}, {1e-9, AutoProposalUC(1e-9)}, {1e-6, 1e-6}, {1e-12, 0.02}} {
+		p, q := pq[0], pq[1]
+		for _, bits := range []int{UnitBits, 5 * UnitBits} {
+			wt := newUnitWeights(p, q, bits)
+			for flips := 0; flips <= 40; flips++ {
+				want := math.Float64bits(math.Exp(phy.UnitLogLR(p, q, bits, flips)))
+				if got := math.Float64bits(wt.at(flips)); got != want {
+					t.Fatalf("p=%g q=%g bits=%d flips=%d: weight bits %#x, want %#x", p, q, bits, flips, got, want)
+				}
+			}
+		}
+	}
+}

@@ -88,6 +88,7 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 		pilot = 4096
 	}
 	rng := phy.NewRNG(seed)
+	log1mp := math.Log1p(-s.BER) // hoisted out of every gap draw
 	est := Estimate{Analytic: AnalyticSymbolTail(s.BER, level), MeanWeight: 1}
 
 	// Pilot: estimate every conditional once, growing effort past
@@ -102,9 +103,9 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 			var more []entry
 			var m int
 			if l == 0 {
-				more, m = s.scanStage(ctx, rng, effort)
+				more, m = s.scanStage(ctx, rng, log1mp, effort)
 			} else {
-				more, m = s.continueStage(ctx, rng, entries, effort)
+				more, m = s.continueStage(ctx, rng, log1mp, entries, effort)
 			}
 			succ = append(succ, more...)
 			n += m
@@ -145,9 +146,9 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 		var succ []entry
 		var n int
 		if l == 0 {
-			succ, n = s.scanStage(ctx, rng, effort)
+			succ, n = s.scanStage(ctx, rng, log1mp, effort)
 		} else {
-			succ, n = s.continueStage(ctx, rng, entries, effort)
+			succ, n = s.continueStage(ctx, rng, log1mp, entries, effort)
 		}
 		est.Trials += n
 		if ctx.Err() != nil {
@@ -176,9 +177,9 @@ func (s Splitting) Run(ctx context.Context, trials int, seed uint64) Estimate {
 // schedule and returns the first-error entry states (level 1) plus the
 // number of flits examined. Clean flits cost O(1) amortized, so stage 1
 // stays feasible even at deep-tail BERs where hits are one in millions.
-func (s Splitting) scanStage(ctx context.Context, rng *phy.RNG, effort int) ([]entry, int) {
+func (s Splitting) scanStage(ctx context.Context, rng *phy.RNG, log1mp float64, effort int) ([]entry, int) {
 	var out []entry
-	next := rng.Geometric(s.BER)
+	next := rng.GeometricLog(log1mp)
 	for i, steps := 0, 0; i < effort; steps++ {
 		if steps&cancelCheckMask == 0 && ctx.Err() != nil {
 			break
@@ -201,7 +202,7 @@ func (s Splitting) scanStage(ctx context.Context, rng *phy.RNG, effort int) ([]e
 		// continuation stages resample) until the stream crosses it.
 		pos := next
 		for {
-			pos += 1 + rng.Geometric(s.BER)
+			pos += 1 + rng.GeometricLog(log1mp)
 			if pos >= UnitBits {
 				next = pos - UnitBits
 				break
@@ -214,7 +215,7 @@ func (s Splitting) scanStage(ctx context.Context, rng *phy.RNG, effort int) ([]e
 // continueStage restarts `effort` trajectories from the given entry
 // states (cycled round-robin) and returns the states that reached the
 // next level before their flit ended.
-func (s Splitting) continueStage(ctx context.Context, rng *phy.RNG, entries []entry, effort int) ([]entry, int) {
+func (s Splitting) continueStage(ctx context.Context, rng *phy.RNG, log1mp float64, entries []entry, effort int) ([]entry, int) {
 	var out []entry
 	for t := 0; t < effort; t++ {
 		if t&cancelCheckMask == 0 && ctx.Err() != nil {
@@ -223,7 +224,7 @@ func (s Splitting) continueStage(ctx context.Context, rng *phy.RNG, entries []en
 		e := entries[t%len(entries)]
 		pos := e.bit
 		for {
-			pos += 1 + rng.Geometric(s.BER)
+			pos += 1 + rng.GeometricLog(log1mp)
 			if pos >= UnitBits {
 				break // flit ended one error short: near miss
 			}

@@ -84,14 +84,21 @@ func TestMapShardOrder(t *testing.T) {
 }
 
 // TestMapError: a failing shard cancels the run, the error names the
-// shard, and no partial results leak.
+// shard, and no partial results leak. Every shard after the failing one
+// blocks until the run is cancelled, so however the host schedules the
+// workers none can finish the rest of the range before the failure
+// lands.
 func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	got, err := Map(context.Background(), Pool{Workers: 4}, 1000, func(ctx context.Context, s Shard) (int, error) {
 		ran.Add(1)
-		if s.Index == 5 {
+		switch {
+		case s.Index == 5:
 			return 0, boom
+		case s.Index > 5:
+			<-ctx.Done()
+			return 0, ctx.Err()
 		}
 		return s.Index, nil
 	})

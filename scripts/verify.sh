@@ -2,7 +2,7 @@
 # Tiered verification ladder. Every CI job calls one rung of this script,
 # so the exact commands CI enforces are runnable (and debuggable) locally:
 #
-#   scripts/verify.sh --level=unit          # vet + build (incl. purego) + tests + bench smoke
+#   scripts/verify.sh --level=unit          # gofmt + vet + build (incl. purego) + tests + bench smoke
 #   scripts/verify.sh --level=race          # race-detector subset + fuzz corpus
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
 #   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan
@@ -35,6 +35,14 @@ run() {
 }
 
 rung_unit() {
+  # Formatting gate: gofmt -l lists every file whose formatting differs.
+  echo "+ gofmt -l ." >&2
+  unformatted=$(gofmt -l .)
+  if [ -n "$unformatted" ]; then
+    echo "gofmt: unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+  fi
   run go vet ./...
   run go build ./...
   # The purego build is the pinned reference for every SIMD-dispatched
