@@ -215,10 +215,24 @@ func keystreamNext(x uint64) uint64 {
 // keystream covering the entire deliverable region, so the receiver can
 // verify it regardless of zero-padding on the wire.
 func SealedPayload(tag uint64) []byte {
-	p := trace.TagPayload(tag, flit.PayloadSize)
-	payloadBody(tag, p)
+	p := make([]byte, flit.PayloadSize)
+	FillSealedPayload(tag, p)
 	return p
 }
+
+// FillSealedPayload writes SealedPayload(tag) into a zeroed payload
+// buffer dst: the tag in dst[:8] and the keystream up to the routing
+// bytes, which it leaves untouched. It is the filler behind the
+// experiments' link.Peer.Offer runs, so no payload is built before it is
+// first transmitted.
+func FillSealedPayload(tag uint64, dst []byte) {
+	binary.BigEndian.PutUint64(dst, tag)
+	payloadBody(tag, dst)
+}
+
+// fillSealed is FillSealedPayload in link.Peer.Offer's filler shape:
+// payload i of an offered run carries tag i.
+func fillSealed(i int, dst []byte) { FillSealedPayload(uint64(i), dst) }
 
 // PayloadIntact reports whether a delivered payload matches its tag's
 // keystream (ignoring the routing tag bytes at the payload tail). It

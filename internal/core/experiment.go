@@ -64,9 +64,7 @@ func (e *Experiment) Run() Result {
 	col := NewCollector(e.N)
 	f.B().Deliver = col.Deliver
 
-	for i := 0; i < e.N; i++ {
-		f.A().Submit(SealedPayload(uint64(i)))
-	}
+	f.A().Offer(e.N, fillSealed)
 	f.Run()
 
 	res := Result{

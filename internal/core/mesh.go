@@ -191,11 +191,14 @@ func (r MeshResult) String() string {
 		r.Elapsed/sim.Nanosecond)
 }
 
-// RunWorkload drives n payloads through each flow simultaneously
-// (submissions interleaved round-robin across flows) and returns the full
+// RunWorkload drives n payloads through each flow simultaneously (every
+// transmitter starts at time zero, in flow order) and returns the full
 // accounting. Equal seeds and configurations give bit-identical results;
 // the mesh differential suite relies on that to compare the fast path
-// against the byte-level reference.
+// against the byte-level reference. Each flow must be a distinct
+// (src,dst) pair — two flows on one pair would share a transmitter and a
+// receiver, and their accounting could not be told apart — so a repeated
+// pair panics, like the other preconditions.
 func (m *MeshFabric) RunWorkload(flows []MeshFlow, n int) MeshResult {
 	if n <= 0 {
 		panic("core: mesh workload needs n > 0")
@@ -207,8 +210,9 @@ func (m *MeshFabric) RunWorkload(flows []MeshFlow, n int) MeshResult {
 
 // RunWeighted is RunWorkload with a per-flow payload count — the
 // trace-driven replay shape, where recorded flows carry different
-// volumes. Submissions stay round-robin across flows still offering, so
-// the congestion interleaving matches RunWorkload's for uniform counts.
+// volumes. Flow order and start times are RunWorkload's, so the
+// congestion interleaving matches it for uniform counts; repeated pairs
+// panic as there.
 func (m *MeshFabric) RunWeighted(flows []MeshFlow, counts []int) MeshResult {
 	if len(counts) != len(flows) {
 		panic("core: mesh workload counts must match flows")
@@ -238,6 +242,13 @@ func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int, n int) MeshResu
 		}
 		return counts[i]
 	}
+	seen := make(map[MeshFlow]bool, len(flows))
+	for _, fl := range flows {
+		if seen[fl] {
+			panic(fmt.Sprintf("core: mesh workload repeats flow (%d,%d)->(%d,%d)", fl.SrcX, fl.SrcY, fl.DstX, fl.DstY))
+		}
+		seen[fl] = true
+	}
 	for i, fl := range flows {
 		src := m.Node(fl.SrcX, fl.SrcY)
 		dst := m.Node(fl.DstX, fl.DstY)
@@ -246,12 +257,13 @@ func (m *MeshFabric) runWorkload(flows []MeshFlow, counts []int, n int) MeshResu
 		cols[i] = NewCollector(count(i))
 		rxs[i].Deliver = cols[i].Deliver
 	}
-	for i := 0; i < n; i++ {
-		for j, tx := range txs {
-			if i < count(j) {
-				tx.Submit(SealedPayload(uint64(i)))
-			}
-		}
+	// One offer per transmitter, in flow order. Each flow owns its
+	// transmitter (no repeated pair), so every transmitter schedules its
+	// one pump at time zero in flow order and sends tags 0..count-1 —
+	// the same events as queuing every payload by Submit, round-robin
+	// across flows (DESIGN.md §19).
+	for j, tx := range txs {
+		tx.Offer(count(j), fillSealed)
 	}
 	m.Run()
 

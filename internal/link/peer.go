@@ -51,9 +51,10 @@ type Peer struct {
 	nextSeq       uint64
 	ackedUpTo     uint64 // all sequence numbers below this are acknowledged
 	replay        []*replayEntry
-	cursor        int                      // next replay index to (re)transmit; == len(replay) when drained
-	sendQ         [][flit.PayloadSize]byte // pending payloads from sendHead on
-	sendHead      int                      // consumed prefix of sendQ; array reused once drained
+	cursor        int     // next replay index to (re)transmit; == len(replay) when drained
+	sendQ         []offer // pending offers from sendHead on
+	sendHead      int     // consumed prefix of sendQ; array reused once drained
+	queued        int     // payloads not yet taken from sendQ
 	pumpScheduled bool
 	timerArmed    bool
 	nakToSend     bool
@@ -101,21 +102,70 @@ func NewPeer(name string, eng *sim.Engine, cfg Config) *Peer {
 // Attach connects the peer's transmitter to its outbound wire.
 func (p *Peer) Attach(w *Wire) { p.out = w }
 
+// offer is one entry of the send queue: a run of n payloads, of which
+// the first next have been taken. Payload i is written by fill(i, dst)
+// when it is first transmitted; a Submit is a one-payload offer with
+// fill == nil that carries its own zero-padded copy in data.
+type offer struct {
+	fill    func(i int, dst []byte)
+	next, n int
+	data    [flit.PayloadSize]byte
+}
+
 // Submit queues a payload (at most flit.PayloadSize bytes; shorter payloads
 // are zero-padded) for transmission. Payload bytes are copied.
 func (p *Peer) Submit(payload []byte) {
 	if len(payload) > flit.PayloadSize {
 		panic(fmt.Sprintf("link: payload %dB exceeds %dB", len(payload), flit.PayloadSize))
 	}
-	var buf [flit.PayloadSize]byte
-	copy(buf[:], payload)
-	p.sendQ, p.sendHead = headq.Compact(p.sendQ, p.sendHead)
-	p.sendQ = append(p.sendQ, buf)
+	o := p.enqueue(offer{n: 1})
+	copy(o.data[:], payload)
 	p.pump()
 }
 
+// Offer queues a run of n payloads behind everything already queued,
+// without building any of them: payload i (0 <= i < n) is written by
+// fill(i, dst) into a zeroed flit.PayloadSize-byte dst when it is first
+// transmitted. fill is called exactly once per payload, in order, from
+// inside the simulation; it must not retain dst. The wire sees the same
+// bytes as n Submits of those payloads.
+func (p *Peer) Offer(n int, fill func(i int, dst []byte)) {
+	if fill == nil {
+		panic("link: Offer needs a fill function")
+	}
+	if n <= 0 {
+		return
+	}
+	p.enqueue(offer{fill: fill, n: n})
+	p.pump()
+}
+
+// enqueue appends o to the send queue and returns the queued copy.
+func (p *Peer) enqueue(o offer) *offer {
+	p.sendQ, p.sendHead = headq.Compact(p.sendQ, p.sendHead)
+	p.sendQ = append(p.sendQ, o)
+	p.queued += o.n
+	return &p.sendQ[len(p.sendQ)-1]
+}
+
+// takeNext writes the next queued payload into dst and dequeues it.
+func (p *Peer) takeNext(dst *[flit.PayloadSize]byte) {
+	o := &p.sendQ[p.sendHead]
+	if o.fill == nil {
+		*dst = o.data
+	} else {
+		*dst = [flit.PayloadSize]byte{}
+		o.fill(o.next, dst[:])
+	}
+	p.queued--
+	if o.next++; o.next == o.n {
+		o.fill = nil // release the filler's captures to the GC
+		p.sendHead++
+	}
+}
+
 // Queued returns the number of payloads waiting behind the replay window.
-func (p *Peer) Queued() int { return len(p.sendQ) - p.sendHead }
+func (p *Peer) Queued() int { return p.queued }
 
 // Outstanding returns the number of sent-but-unacknowledged flits.
 func (p *Peer) Outstanding() int { return len(p.replay) }
@@ -131,7 +181,7 @@ func (p *Peer) ExpectedSeq() uint64 { return p.eseq }
 func (p *Peer) hasWork() bool {
 	return p.nakToSend || p.srNakToSend || p.ackToSend ||
 		len(p.srQueue) > 0 || p.cursor < len(p.replay) ||
-		(p.sendHead < len(p.sendQ) && len(p.replay) < p.Cfg.ReplayBufferSize)
+		(p.queued > 0 && len(p.replay) < p.Cfg.ReplayBufferSize)
 }
 
 // pump schedules the next transmission at the moment the wire frees up.
@@ -182,11 +232,10 @@ func (p *Peer) transmitOne() bool {
 		p.Stats.AckFlitsSent++
 		return true
 
-	case p.sendHead < len(p.sendQ) && len(p.replay) < p.Cfg.ReplayBufferSize:
+	case p.queued > 0 && len(p.replay) < p.Cfg.ReplayBufferSize:
 		e := entryPool.Get().(*replayEntry)
 		e.seq, e.lastSent = p.nextSeq, 0
-		e.payload = p.sendQ[p.sendHead]
-		p.sendHead++
+		p.takeNext(&e.payload)
 		p.nextSeq++
 		p.replay = append(p.replay, e)
 		p.cursor = len(p.replay)

@@ -33,45 +33,84 @@ const (
 // 2ns").
 const FlitTime = 2 * Nanosecond
 
-type event struct {
+// key is an event's position in the strict dispatch order: time, then
+// schedule order. seq is unique per engine, so keys are unique.
+type key struct {
 	at  Time
 	seq uint64 // tie-break: schedule order
-	fn  func()
-	// Payload form: when fn is nil, sink(arg) runs instead. Senders with a
-	// long-lived sink function (pipes) use this to avoid a closure
-	// allocation per scheduled delivery.
+}
+
+// before reports the strict (at, seq) ordering between keys.
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// action is what an event runs: fn, or sink(arg) when fn is nil.
+// Senders with a long-lived sink function (pipes) use the payload form to
+// avoid a closure allocation per scheduled delivery.
+type action struct {
+	fn   func()
 	sink func(interface{})
 	arg  interface{}
 }
 
-func (ev *event) dispatch() {
-	if ev.fn != nil {
-		ev.fn()
+func (a *action) dispatch() {
+	if a.fn != nil {
+		a.fn()
 		return
 	}
-	ev.sink(ev.arg)
+	a.sink(a.arg)
 }
 
-// before reports the strict (at, seq) ordering between events.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
+type event struct {
+	key
+	action
+}
+
+// heapKey is a heap entry: an event's key and the slab slot holding its
+// action. It holds no pointers, so sifting moves plain words and pays no
+// GC write barriers.
+type heapKey struct {
+	key
+	slot int
 }
 
 // eventHeap is a hand-rolled binary min-heap on (at, seq). container/heap
 // would box every event through interface{} on Push/Pop — one allocation
 // per scheduled event — so the sift operations are written out instead.
-type eventHeap []event
+// The heap orders pointer-free keys; the actions sit still in a slab
+// whose vacated slots are reused through a free list, so the slab never
+// outgrows the heap's peak size.
+type eventHeap struct {
+	keys []heapKey
+	slab []action
+	free []int // vacated slab slots
+}
+
+func (h *eventHeap) len() int { return len(h.keys) }
+
+// head returns the key of the earliest event; the heap must be non-empty.
+func (h *eventHeap) head() key { return h.keys[0].key }
 
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
+	var slot int
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = ev.action
+	} else {
+		slot = len(h.slab)
+		h.slab = append(h.slab, ev.action)
+	}
+	h.keys = append(h.keys, heapKey{ev.key, slot})
+	q := h.keys
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].before(&q[parent]) {
+		if !q[i].before(q[parent].key) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -80,23 +119,25 @@ func (h *eventHeap) push(ev event) {
 }
 
 func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
+	q := h.keys
+	slot := q[0].slot
+	top := event{q[0].key, h.slab[slot]}
+	h.slab[slot] = action{} // release references for GC
+	h.free = append(h.free, slot)
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = event{} // release references for GC
 	q = q[:n]
-	*h = q
+	h.keys = q
 	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(&q[child]) {
+		if r := child + 1; r < n && q[r].before(q[child].key) {
 			child = r
 		}
-		if !q[child].before(&q[i]) {
+		if !q[child].before(q[i].key) {
 			break
 		}
 		q[i], q[child] = q[child], q[i]
@@ -157,14 +198,14 @@ func (e *Engine) ScheduleArg(delay Time, sink func(interface{}), arg interface{}
 
 // At runs fn at absolute time t (>= Now).
 func (e *Engine) At(t Time, fn func()) {
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(event{key{t, e.seq}, action{fn: fn}})
 }
 
 // AtArg runs sink(arg) at absolute time t (>= Now). Pipes use this form on
 // the per-flit delivery path: sink is one stable function per pipe, so no
 // closure is allocated per send.
 func (e *Engine) AtArg(t Time, sink func(interface{}), arg interface{}) {
-	e.push(event{at: t, seq: e.seq, sink: sink, arg: arg})
+	e.push(event{key{t, e.seq}, action{sink: sink, arg: arg}})
 }
 
 func (e *Engine) push(ev event) {
@@ -270,11 +311,8 @@ func (e *Engine) RunSpans(span Time) {
 // NextTime returns the timestamp of the next pending event, or ok=false
 // when the queue is empty.
 func (e *Engine) NextTime() (t Time, ok bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
+	k, _, ok := e.peek()
+	return k.at, ok
 }
 
 // run dispatches events with timestamps <= limit until the queue is
@@ -295,7 +333,7 @@ func (e *Engine) run(limit Time) {
 			if ev.at > limit {
 				break
 			}
-			if len(e.events) > 0 && !ev.before(&e.events[0]) {
+			if e.events.len() > 0 && !ev.before(e.events.head()) {
 				break
 			}
 			e.fifo[e.fifoPos] = event{} // release references for GC
@@ -307,40 +345,33 @@ func (e *Engine) run(limit Time) {
 		if e.stopped {
 			return
 		}
-		ev := e.peek()
-		if ev == nil || ev.at > limit {
+		if k, _, ok := e.peek(); !ok || k.at > limit {
 			return
 		}
 		e.step()
 	}
 }
 
-// peek returns the next event in (time, schedule-order) without removing
-// it, or nil when both lanes are empty.
-func (e *Engine) peek() *event {
-	var f, h *event
+// peek returns the key of the next event in (time, schedule-order) and
+// whether it heads the sorted lane; ok is false when both lanes are
+// empty.
+func (e *Engine) peek() (k key, inFIFO, ok bool) {
 	if e.fifoPos < len(e.fifo) {
-		f = &e.fifo[e.fifoPos]
+		k = e.fifo[e.fifoPos].key
+		if e.events.len() == 0 || k.before(e.events.head()) {
+			return k, true, true
+		}
 	}
-	if len(e.events) > 0 {
-		h = &e.events[0]
+	if e.events.len() == 0 {
+		return key{}, false, false
 	}
-	switch {
-	case f == nil:
-		return h
-	case h == nil:
-		return f
-	case f.before(h):
-		return f
-	default:
-		return h
-	}
+	return e.events.head(), false, true
 }
 
 func (e *Engine) step() {
 	var ev event
-	if next := e.peek(); e.fifoPos < len(e.fifo) && next == &e.fifo[e.fifoPos] {
-		ev = *next
+	if _, inFIFO, _ := e.peek(); inFIFO {
+		ev = e.fifo[e.fifoPos]
 		e.fifo[e.fifoPos] = event{} // release references for GC
 		e.fifoPos++
 	} else {
@@ -352,7 +383,7 @@ func (e *Engine) step() {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) + len(e.fifo) - e.fifoPos }
+func (e *Engine) Pending() int { return e.events.len() + len(e.fifo) - e.fifoPos }
 
 // Pipe models a unidirectional wire: each Send occupies the wire for
 // SerializationDelay (back-to-back sends queue behind each other, FIFO) and

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -347,7 +349,7 @@ func TestNextTime(t *testing.T) {
 		e.Schedule(42+i, func() {})
 	}
 	e.At(7, func() {})
-	if len(e.events) == 0 {
+	if e.events.len() == 0 {
 		t.Fatal("event at 7 did not reach the heap lane")
 	}
 	if at, ok := e.NextTime(); !ok || at != 7 {
@@ -363,7 +365,7 @@ func TestPushBeyondInsertWindowGoesToHeap(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(100, func() {})
 	e.At(50, func() {}) // 1-deep lane: absorbed by tail insertion
-	if len(e.events) != 0 {
+	if e.events.len() != 0 {
 		t.Fatal("shallow out-of-order push escaped the sorted lane")
 	}
 
@@ -372,8 +374,8 @@ func TestPushBeyondInsertWindowGoesToHeap(t *testing.T) {
 		e.Schedule(4+2*j, func() {})
 	}
 	e.At(1, func() {}) // 12-deep lane: beyond the window → heap
-	if len(e.events) != 1 {
-		t.Fatalf("deep out-of-order push not in heap (heap len %d)", len(e.events))
+	if e.events.len() != 1 {
+		t.Fatalf("deep out-of-order push not in heap (heap len %d)", e.events.len())
 	}
 	var order []Time
 	e.At(1, func() { order = append(order, 1) })
@@ -488,6 +490,91 @@ func TestFIFOLaneCompaction(t *testing.T) {
 	}
 	if c := cap(e.fifo); c > 1024 {
 		t.Fatalf("fifo backing array grew to %d slots for %d events; dispatched prefix not reclaimed", c, total)
+	}
+}
+
+// TestDispatchMatchesReferenceSort drives random schedules through both
+// lanes — equal-time ties, pushes far below the sorted lane's tail, and
+// pushes from inside handlers — and requires the dispatch order to be
+// exactly a sort of every pushed event on (at, seq). (at, seq) is unique
+// and no handler can push below its own key, so that sort is the one
+// total order a correct queue can produce. It also checks that the heap
+// reuses vacated slab slots: the slab reaches exactly the heap's peak
+// size, never more than peak Pending(), and holds no references once
+// drained.
+func TestDispatchMatchesReferenceSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		type rec struct {
+			at  Time
+			seq int
+		}
+		var pushed []rec
+		var order []int // seq of each dispatch
+		peakPending, peakHeap := 0, 0
+		var push func(at Time)
+		push = func(at Time) {
+			seq := len(pushed)
+			pushed = append(pushed, rec{at, seq})
+			e.At(at, func() {
+				order = append(order, seq)
+				// A third of the handlers schedule more: zero delay
+				// (ties the current instant), a short hop (near the
+				// tail) or a long one (often deep below it).
+				for k := rng.Intn(3); k > 0 && len(pushed) < 3000; k-- {
+					switch rng.Intn(3) {
+					case 0:
+						push(e.Now())
+					case 1:
+						push(e.Now() + Time(rng.Intn(4)))
+					default:
+						push(e.Now() + Time(rng.Intn(5000)))
+					}
+				}
+			})
+			if p := e.Pending(); p > peakPending {
+				peakPending = p
+			}
+			if h := e.events.len(); h > peakHeap {
+				peakHeap = h
+			}
+		}
+		for i := 0; i < 400; i++ {
+			if rng.Intn(2) == 0 {
+				push(Time(rng.Intn(8)) * 100) // few distinct times: ties
+			} else {
+				push(Time(rng.Intn(20000))) // wide, out of order
+			}
+		}
+		e.Run()
+
+		ref := append([]rec(nil), pushed...)
+		sort.Slice(ref, func(i, j int) bool {
+			if ref[i].at != ref[j].at {
+				return ref[i].at < ref[j].at
+			}
+			return ref[i].seq < ref[j].seq
+		})
+		if len(order) != len(ref) {
+			t.Fatalf("seed %d: dispatched %d of %d events", seed, len(order), len(ref))
+		}
+		for i, r := range ref {
+			if order[i] != r.seq {
+				t.Fatalf("seed %d: dispatch %d is event %d, want %d (at %d)", seed, i, order[i], r.seq, r.at)
+			}
+		}
+		if peakHeap < 50 {
+			t.Fatalf("seed %d: heap lane peaked at %d events; the schedule does not exercise it", seed, peakHeap)
+		}
+		if n := len(e.events.slab); n != peakHeap || n > peakPending {
+			t.Fatalf("seed %d: slab grew to %d slots; heap peak %d, Pending peak %d", seed, n, peakHeap, peakPending)
+		}
+		for i, ev := range e.events.slab {
+			if ev.fn != nil || ev.sink != nil || ev.arg != nil {
+				t.Fatalf("seed %d: drained slab slot %d still holds references", seed, i)
+			}
+		}
 	}
 }
 

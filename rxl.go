@@ -363,7 +363,8 @@ func (n *NoC) Run() { n.fab.Run() }
 
 // RunWorkload drives nPayloads through each flow simultaneously and
 // returns the full accounting — the one-call mesh experiment behind the
-// multi-hop benchmarks and differential tests.
+// multi-hop benchmarks and differential tests. Flows must be distinct
+// (src,dst) pairs; a repeated pair panics.
 func (n *NoC) RunWorkload(flows []MeshFlow, nPayloads int) MeshResult {
 	return n.fab.RunWorkload(flows, nPayloads)
 }

@@ -140,6 +140,23 @@ func TestNoCQuickstart(t *testing.T) {
 	}
 }
 
+// TestNoCRunWorkloadRejectsRepeatedFlow: two flows on one (src,dst) pair
+// would share one transmitter and one receiver, so the facade refuses
+// them rather than report one flow all-missing and the other doubled.
+func TestNoCRunWorkloadRejectsRepeatedFlow(t *testing.T) {
+	noc, err := rxl.NewNoC(3, 3, rxl.Config{Protocol: rxl.RXL, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := rxl.MeshFlow{SrcX: 0, SrcY: 0, DstX: 2, DstY: 2}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("repeated (src,dst) flow accepted")
+		}
+	}()
+	noc.RunWorkload([]rxl.MeshFlow{f, f}, 10)
+}
+
 func TestNoCRejectsInvalidConfig(t *testing.T) {
 	if _, err := rxl.NewNoC(2, 2, rxl.Config{BER: -1}); err == nil {
 		t.Fatal("invalid config accepted")

@@ -5,7 +5,7 @@
 #   scripts/verify.sh --level=unit          # gofmt + vet + build (incl. purego) + tests + bench smoke
 #   scripts/verify.sh --level=race          # race-detector subset + fuzz corpus
 #   scripts/verify.sh --level=kernels       # coding-kernel differential: default vs -tags purego
-#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan
+#   scripts/verify.sh --level=differential  # scenario-grid fast/slow scan + EXPERIMENTS.md byte check
 #   scripts/verify.sh --level=smoke         # rxld HTTP serving-contract drill
 #   scripts/verify.sh --level=metrics       # /metrics + trace contract + rxltop drill
 #   scripts/verify.sh --level=fleet         # 3-daemon fleet + front byte-identity e2e
@@ -85,6 +85,9 @@ rung_differential() {
   # fast-path/byte-level differential; any diverging cell (or
   # non-exactly-once RXL delivery) exits non-zero.
   run go run ./cmd/rxlsim -scan -scan-n 25 -ber 1e-5
+  # The committed evaluation must regenerate byte for byte: every
+  # performance change claims identical simulated output.
+  run go run ./cmd/sweep -rare | cmp - EXPERIMENTS.md
 }
 
 rung_smoke() {
